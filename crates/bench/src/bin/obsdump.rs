@@ -241,6 +241,16 @@ fn verify(snap: &TelemetrySnapshot) -> Result<(), String> {
             .is_some_and(|h| h.count > 0),
         "allocator admission timings (alloc.admit_ns)",
     )?;
+    for phase in [
+        "alloc.enumerate_wall_ns",
+        "alloc.rank_wall_ns",
+        "alloc.probe_wall_ns",
+    ] {
+        require(
+            snap.histogram(phase).is_some_and(|h| h.count > 0),
+            &format!("allocator search-phase timings ({phase})"),
+        )?;
+    }
     require(
         snap.counter("runtime.frames").unwrap_or(0) > 0,
         "runtime frame counters",

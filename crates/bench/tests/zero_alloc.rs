@@ -3,17 +3,30 @@
 //! processing an active frame must not touch the heap at all.
 //!
 //! Lives in its own integration-test binary so the counting global
-//! allocator sees no concurrent test threads.
+//! allocator sees no other test code, and the tests hold [`SERIAL`]
+//! so they never run concurrently with each other: the counter is
+//! process-wide, and one test's set-up allocations would otherwise land
+//! in another's measured window.
 
 use activermt_bench::hotpath::{
     alloc_count, cache_query, nop_program, CountingAlloc, HotLoop, PooledLoop,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Run alone: block until no other test of this binary is running. A
+/// failed test poisons the lock; the others still run.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn steady_state_frames_do_not_allocate() {
+    let _serial = serial();
     for (name, program, payload) in [
         ("cache_query", cache_query(), &b"GET k"[..]),
         ("nops_30", nop_program(30), &b""[..]),
@@ -54,6 +67,7 @@ fn steady_state_frames_do_not_allocate() {
 /// charged too).
 #[test]
 fn pooled_steady_state_frames_do_not_allocate() {
+    let _serial = serial();
     const WORKERS: usize = 4;
     const ROUND: usize = 1_024;
     let mut pl = PooledLoop::new(WORKERS, 16, &cache_query(), b"GET k");
@@ -125,6 +139,7 @@ fn pooled_steady_state_frames_do_not_allocate() {
 
 #[test]
 fn reference_path_allocates_showing_the_counter_works() {
+    let _serial = serial();
     let mut hl = HotLoop::new(&cache_query(), b"GET k");
     for _ in 0..4 {
         hl.step_reference();

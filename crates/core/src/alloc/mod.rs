@@ -38,7 +38,7 @@ pub mod search;
 pub use cache::{program_digest, shape_words, CacheKey, MutantCache, DEFAULT_CACHE_CAPACITY};
 pub use constraints::AccessPattern;
 pub use fairness::{jain_index, progressive_filling};
-pub use mutants::{Mutant, MutantPolicy, MutantSpace};
+pub use mutants::{Mutant, MutantPolicy, MutantRef, MutantSpace};
 pub use netvrm::NetVrmAllocator;
 pub use placement::place;
 pub use plan::{AllocOutcome, Reallocation, StagePlacement};

@@ -66,17 +66,51 @@ impl Mutant {
     /// same stage on different passes share one region, like Listing 2's
     /// threshold read/write).
     pub fn stage_demands(&self, demands: &[u16]) -> Vec<(usize, u16)> {
-        let mut merged: Vec<(usize, u16)> = Vec::new();
-        for (i, &s) in self.stages.iter().enumerate() {
-            let d = demands.get(i).copied().unwrap_or(0);
-            match merged.iter_mut().find(|(st, _)| *st == s) {
-                Some((_, dm)) => *dm = (*dm).max(d),
-                None => merged.push((s, d)),
-            }
-        }
-        merged.sort_unstable_by_key(|&(s, _)| s);
+        let mut merged = Vec::new();
+        merge_stage_demands(&self.stages, demands, &mut merged);
         merged
     }
+}
+
+/// A mutant borrowed from the enumerator's scratch buffers; valid only
+/// for the duration of one visitor call (see
+/// [`MutantSpace::enumerate_with`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MutantRef<'a> {
+    /// Logical access positions (as [`Mutant::positions`]).
+    pub positions: &'a [u16],
+    /// Physical stage of each access (as [`Mutant::stages`]).
+    pub stages: &'a [usize],
+    /// Passes through the pipeline (as [`Mutant::passes`]).
+    pub passes: u32,
+    /// Padded program length (as [`Mutant::padded_len`]).
+    pub padded_len: u16,
+}
+
+impl MutantRef<'_> {
+    /// An owned copy.
+    pub fn to_mutant(&self) -> Mutant {
+        Mutant {
+            positions: self.positions.to_vec(),
+            stages: self.stages.to_vec(),
+            passes: self.passes,
+            padded_len: self.padded_len,
+        }
+    }
+}
+
+/// [`Mutant::stage_demands`] into a caller-owned buffer (cleared
+/// first), so a streaming consumer allocates nothing per mutant.
+pub(crate) fn merge_stage_demands(stages: &[usize], demands: &[u16], out: &mut Vec<(usize, u16)>) {
+    out.clear();
+    for (i, &s) in stages.iter().enumerate() {
+        let d = demands.get(i).copied().unwrap_or(0);
+        match out.iter_mut().find(|(st, _)| *st == s) {
+            Some((_, dm)) => *dm = (*dm).max(d),
+            None => out.push((s, d)),
+        }
+    }
+    out.sort_unstable_by_key(|&(s, _)| s);
 }
 
 /// Enumeration parameters derived from the pipeline.
@@ -108,63 +142,73 @@ impl MutantSpace {
 
     /// Enumerate every mutant of `pattern` permitted by `policy`, in the
     /// systematic (lexicographic) order the first-fit scheme relies on.
+    /// A collecting wrapper around [`MutantSpace::enumerate_with`].
     pub fn enumerate(&self, pattern: &AccessPattern, policy: MutantPolicy) -> Vec<Mutant> {
+        let mut out = Vec::new();
+        self.enumerate_with(pattern, policy, |m| out.push(m.to_mutant()));
+        out
+    }
+
+    /// Stream every mutant of `pattern` permitted by `policy` to `visit`,
+    /// in enumeration order, without materializing any of them: the
+    /// visitor borrows the enumerator's position and stage buffers.
+    pub fn enumerate_with(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        mut visit: impl FnMut(MutantRef<'_>),
+    ) {
         let inherent = self.inherent_passes(pattern.prog_len);
         let max_passes = match policy {
             MutantPolicy::MostConstrained => inherent,
             MutantPolicy::LeastConstrained => inherent + u32::from(self.max_extra_recircs),
         };
         let max_len = (max_passes as usize * self.num_stages) as u16;
-        let tail = pattern.tail_len();
         let m = pattern.num_accesses();
 
-        let mut out = Vec::new();
         if m == 0 {
             // Memoryless programs have exactly one "mutant": the compact
             // program itself (padding would be pointless).
-            if pattern.prog_len <= max_len && self.ingress_ok(pattern, &[], policy).is_some() {
-                let passes = self.inherent_passes(pattern.prog_len)
-                    + self.ingress_ok(pattern, &[], policy).unwrap_or(0);
-                out.push(Mutant {
-                    positions: vec![],
-                    stages: vec![],
-                    passes,
-                    padded_len: pattern.prog_len,
-                });
+            if pattern.prog_len <= max_len {
+                if let Some(penalty) = self.ingress_ok(pattern, &[], policy) {
+                    visit(MutantRef {
+                        positions: &[],
+                        stages: &[],
+                        passes: inherent + penalty,
+                        padded_len: pattern.prog_len,
+                    });
+                }
             }
-            return out;
+            return;
         }
 
-        let gaps = pattern.min_gaps();
-        let mut x = vec![0u16; m];
-        self.enumerate_rec(pattern, policy, &gaps, tail, max_len, 0, &mut x, &mut out);
-        out
+        let mut walk = Walk {
+            pattern,
+            policy,
+            gaps: pattern.min_gaps(),
+            tail: pattern.tail_len(),
+            max_len,
+            x: vec![0u16; m],
+            stages: Vec::with_capacity(m),
+        };
+        self.enumerate_rec(&mut walk, 0, &mut visit);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn enumerate_rec(
-        &self,
-        pattern: &AccessPattern,
-        policy: MutantPolicy,
-        gaps: &[u16],
-        tail: u16,
-        max_len: u16,
-        i: usize,
-        x: &mut Vec<u16>,
-        out: &mut Vec<Mutant>,
-    ) {
+    fn enumerate_rec(&self, w: &mut Walk<'_>, i: usize, visit: &mut impl FnMut(MutantRef<'_>)) {
+        let pattern = w.pattern;
         let m = pattern.num_accesses();
         if i == m {
-            let padded_len = x[m - 1] + tail;
-            let stages: Vec<usize> = x.iter().map(|&p| self.stage_of(p)).collect();
-            if !Self::stage_constraints_ok(pattern, &stages) {
+            let padded_len = w.x[m - 1] + w.tail;
+            w.stages.clear();
+            w.stages.extend(w.x.iter().map(|&p| self.stage_of(p)));
+            if !Self::stage_constraints_ok(pattern, &w.stages) {
                 return;
             }
-            if let Some(penalty) = self.ingress_ok(pattern, x, policy) {
+            if let Some(penalty) = self.ingress_ok(pattern, &w.x, w.policy) {
                 let base = (u32::from(padded_len)).div_ceil(self.num_stages as u32);
-                out.push(Mutant {
-                    positions: x.clone(),
-                    stages,
+                visit(MutantRef {
+                    positions: &w.x,
+                    stages: &w.stages,
                     passes: base + penalty,
                     padded_len,
                 });
@@ -172,13 +216,13 @@ impl MutantSpace {
             return;
         }
         // Remaining accesses after i need at least this much room.
-        let slack_after: u16 = gaps[i + 1..].iter().sum::<u16>() + tail;
+        let slack_after: u16 = w.gaps[i + 1..].iter().sum::<u16>() + w.tail;
         let lo = if i == 0 {
             pattern.min_positions[0]
         } else {
-            (x[i - 1] + gaps[i]).max(pattern.min_positions[i])
+            (w.x[i - 1] + w.gaps[i]).max(pattern.min_positions[i])
         };
-        let hi = max_len.saturating_sub(slack_after);
+        let hi = w.max_len.saturating_sub(slack_after);
 
         // Constraint-aware pruning: an aliased access may only sit at
         // positions mapping to its partner's stage (step = pipeline
@@ -193,7 +237,7 @@ impl MutantSpace {
         let n = self.num_stages as u16;
         let (mut p, step) = match alias_of {
             Some(e) => {
-                let target = self.stage_of(x[e]) as u16;
+                let target = self.stage_of(w.x[e]) as u16;
                 let mut first = lo;
                 let rem = (first - 1) % n;
                 first += (target + n - rem) % n;
@@ -204,7 +248,7 @@ impl MutantSpace {
         while p <= hi {
             let stage = self.stage_of(p);
             let collides = alias_of.is_none()
-                && x[..i].iter().enumerate().any(|(j, &xp)| {
+                && w.x[..i].iter().enumerate().any(|(j, &xp)| {
                     self.stage_of(xp) == stage
                         && !pattern
                             .aliases
@@ -212,12 +256,12 @@ impl MutantSpace {
                             .any(|&(e, l)| (e, l) == (j, i) || (e, l) == (i, j))
                 });
             if !collides {
-                x[i] = p;
-                self.enumerate_rec(pattern, policy, gaps, tail, max_len, i + 1, x, out);
+                w.x[i] = p;
+                self.enumerate_rec(w, i + 1, visit);
             }
             p += step;
         }
-        x[i] = 0;
+        w.x[i] = 0;
     }
 
     /// Aliasing and distinctness constraints on physical stages:
@@ -280,6 +324,18 @@ impl MutantSpace {
             },
         }
     }
+}
+
+/// The enumerator's per-call state: the pattern's derived bounds and
+/// the scratch buffers every visited mutant borrows.
+struct Walk<'a> {
+    pattern: &'a AccessPattern,
+    policy: MutantPolicy,
+    gaps: Vec<u16>,
+    tail: u16,
+    max_len: u16,
+    x: Vec<u16>,
+    stages: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -106,6 +106,31 @@ impl Scheme {
             }
         }
     }
+
+    /// One stage's term of [`Scheme::cost`]: the cost of a candidate is
+    /// the sum of this over its `(stage, demand)` pairs. The pools do not
+    /// change while one arrival is searched, so the search tabulates
+    /// this once per distinct pair and scores every candidate by table
+    /// lookups; [`Scheme::cost`] stays the literal formula the reference
+    /// search ranks with.
+    pub(crate) fn stage_cost(self, pool: &StagePool, demand: u16, new_elastic: bool) -> i64 {
+        match self {
+            Scheme::WorstFit => -Self::per_tenant_fungible(pool),
+            Scheme::BestFit => Self::per_tenant_fungible(pool),
+            Scheme::FirstFit => 0,
+            Scheme::MinRealloc => {
+                let displaces = new_elastic
+                    || pool
+                        .inelastic_slot(u32::from(demand))
+                        .is_some_and(|slot| slot >= pool.frontier());
+                if displaces {
+                    pool.elastic_count() as i64
+                } else {
+                    0
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -175,6 +200,35 @@ mod tests {
             pair,
             single + Scheme::WorstFit.cost(&pools, &[(1, 1)], true)
         );
+    }
+
+    #[test]
+    fn stage_cost_tables_sum_to_the_literal_cost() {
+        let pools = pools();
+        // Every non-empty stage subset, with demands that fit, extend the
+        // frontier, and cannot be placed at all.
+        let pairs: Vec<(usize, u16)> = (0..3).flat_map(|s| [(s, 1), (s, 5), (s, 95)]).collect();
+        for scheme in Scheme::ALL {
+            for elastic in [true, false] {
+                for mask in 1u32..(1 << pairs.len()) {
+                    let stages: Vec<(usize, u16)> = pairs
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask & (1 << i) != 0)
+                        .map(|(_, &p)| p)
+                        .collect();
+                    let table: i64 = stages
+                        .iter()
+                        .map(|&(s, d)| scheme.stage_cost(&pools[s], d, elastic))
+                        .sum();
+                    assert_eq!(
+                        table,
+                        scheme.cost(&pools, &stages, elastic),
+                        "{scheme:?} elastic={elastic} {stages:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

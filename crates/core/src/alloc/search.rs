@@ -13,49 +13,61 @@
 //! small-footprint applications (Section 3.1) — then scores survivors
 //! with the configured [`Scheme`] and applies the winner, returning the
 //! set of reallocation victims.
+//!
+//! The incremental search ([`Allocator::admit`]) keeps that O(k) with a
+//! small constant. A candidate set stores each deduplicated candidate as
+//! ids into the set's distinct `(stage, demand)` pairs; the pools do not
+//! change while one arrival is searched, so the scheme cost and the
+//! feasibility of each pair are computed at most once per arrival and a
+//! candidate's score is a sum of table lookups. The winner, the first
+//! feasible candidate in `(cost, passes, enumeration order)`, is found
+//! by min-scans instead of a full sort. [`Allocator::admit_reference`]
+//! keeps the literal path — materialize, score through [`Scheme::cost`],
+//! sort, probe in order — as the oracle.
 
 use crate::alloc::constraints::AccessPattern;
-use crate::alloc::mutants::{Mutant, MutantPolicy, MutantSpace};
+use crate::alloc::mutants::{merge_stage_demands, Mutant, MutantPolicy, MutantSpace};
 use crate::alloc::plan::{AllocOutcome, Reallocation, StagePlacement};
 use crate::alloc::pool::StagePool;
 use crate::alloc::schemes::Scheme;
 use crate::config::SwitchConfig;
 use crate::error::{AdmitError, CoreError};
 use crate::types::Fid;
+use activermt_isa::constants::MAX_MEMORY_ACCESSES;
 use activermt_rmt::tcam::range_prefix_count;
 use activermt_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Feasibility memos for the incremental search. Mutants of one arrival
-/// differ only in a stage shift, so the same `(stage, demand)` probes
-/// and the same register ranges are priced over and over; within one
-/// admission the pools do not change, so every result can be memoized.
-/// A memo hit is exactly the "dominated candidate" skip: a candidate
-/// whose stage set was already probed (under any earlier candidate)
-/// costs nothing.
+/// Memos and scratch of the incremental search. Mutants of one arrival
+/// differ only in a stage shift, so the same `(stage, demand)` pairs are
+/// scored and probed over and over; within one admission the pools do
+/// not change, so every per-pair result can be tabulated. A tabulated
+/// probe is exactly the "dominated candidate" skip: a candidate whose
+/// pairs were already probed (under any earlier candidate) costs
+/// nothing.
 ///
-/// Invalidation granularity differs per table. `mem` and `tcam` depend
-/// on pool state and are valid for exactly one arrival: they are
-/// *cleared* (capacity retained — no per-arrival rehash allocations)
-/// at the next admission. `prefix` memoizes `range_prefix_count` and
+/// Invalidation granularity differs per table. `mem`, `tcam` and
+/// `scores` depend on pool state and are valid for exactly one arrival:
+/// they are refilled (capacity retained) at the next admission, as is
+/// the `keys` buffer. `prefix` memoizes `range_prefix_count` and
 /// `candidates` memoizes the whole mutant enumeration + dedup of a
 /// `(pattern, policy)` pair — both pure functions of their keys (the
 /// pool state never enters them), so they persist across arrivals with
-/// **no** invalidation. The candidate memo is what fixed the `mc_hh`
-/// regression: that workload's ranked probe loop accepts the first
-/// candidate, so the per-arrival tables had nothing to amortize and the
-/// (shared) enumeration cost dominated — caching at the wrong (per
-/// arrival) granularity made the incremental search pay memo overhead
-/// for zero savings.
+/// **no** invalidation. Enumeration is the most expensive step of a
+/// least-constrained search by far, which is why it is cached at the
+/// service granularity rather than per arrival.
 #[derive(Debug, Default, Clone)]
 struct FeasMemo {
-    /// `(stage, demand) → does the block pool fit it` (demand is 0 for
-    /// elastic arrivals — the probe is demand-independent).
-    mem: HashMap<(usize, u16), bool>,
-    /// `(stage, demand) → does the trial-applied TCAM stay in budget`.
-    tcam: HashMap<(usize, u16), bool>,
+    /// Per pair id: does the block pool fit it (`None` = not probed).
+    mem: Vec<Option<bool>>,
+    /// Per pair id: does the trial-applied TCAM stay in budget.
+    tcam: Vec<Option<bool>>,
+    /// Per pair id: the scheme's stage cost ([`Scheme::stage_cost`]).
+    scores: Vec<i64>,
+    /// Per candidate: its packed selection key ([`select_key`]).
+    keys: Vec<u128>,
     /// `(lo, hi) → range_prefix_count(lo, hi)` for TCAM pricing.
     prefix: HashMap<(u32, u32), usize>,
     /// `(pattern, policy) → enumerated + deduplicated candidates`.
@@ -70,7 +82,7 @@ impl FeasMemo {
     /// [`CANDIDATE_MEMO_CAP`]).
     fn candidate_set(
         &mut self,
-        cfg: &AllocatorConfig,
+        space: MutantSpace,
         pattern: &AccessPattern,
         policy: MutantPolicy,
     ) -> Arc<CandidateSet> {
@@ -81,7 +93,7 @@ impl FeasMemo {
         {
             return Arc::clone(set);
         }
-        let set = Arc::new(CandidateSet::build(cfg, pattern, policy));
+        let set = Arc::new(CandidateSet::build(space, pattern, policy));
         if self.candidates.len() >= CANDIDATE_MEMO_CAP {
             self.candidates.remove(0);
         }
@@ -97,40 +109,193 @@ impl FeasMemo {
 /// for allocation purposes, so only the first (lowest enumeration
 /// index) survives. Pure in the pool state, hence cacheable across
 /// arrivals.
+///
+/// Stored as flat arrays (one allocation per field, not per candidate):
+/// candidate `c` touches the pairs `pair_ids[offsets[c]..offsets[c + 1]]`
+/// (ascending by stage) and its representative mutant has passes
+/// `passes[c]`, padded length `padded_len[c]` and access positions
+/// `positions[c * width..(c + 1) * width]`. Candidates are in
+/// enumeration order, so a lower index is an earlier mutant.
 #[derive(Debug)]
 struct CandidateSet {
-    /// The full enumeration (indexed by the dedup entries).
-    mutants: Vec<Mutant>,
-    /// Deduplicated candidates in enumeration order.
-    dedup: Vec<DedupCandidate>,
-}
-
-/// One deduplicated candidate: the representative mutant's pass count,
-/// its enumeration index, and its per-stage block demands.
-#[derive(Debug)]
-struct DedupCandidate {
-    passes: u32,
-    idx: usize,
-    stages: Vec<(usize, u16)>,
+    /// Size of the full enumeration, duplicates included (the controller
+    /// charges modeled allocation time for it).
+    enumerated: usize,
+    /// Accesses per mutant: the row width of `positions`.
+    width: usize,
+    /// The distinct `(stage, demand)` pairs any candidate touches.
+    pairs: Vec<(usize, u16)>,
+    pair_ids: Vec<u16>,
+    offsets: Vec<u32>,
+    passes: Vec<u32>,
+    padded_len: Vec<u16>,
+    positions: Vec<u16>,
 }
 
 impl CandidateSet {
-    fn build(cfg: &AllocatorConfig, pattern: &AccessPattern, policy: MutantPolicy) -> CandidateSet {
-        let mutants = cfg.mutant_space().enumerate(pattern, policy);
-        let mut seen: HashSet<(Vec<(usize, u16)>, u32)> = HashSet::new();
-        let mut dedup = Vec::new();
-        for (idx, mutant) in mutants.iter().enumerate() {
-            let stages = mutant.stage_demands(&pattern.demands);
-            if !seen.insert((stages.clone(), mutant.passes)) {
-                continue;
+    /// Stream the enumeration into the arena, deduplicating on the flat
+    /// `(pair ids, passes)` key.
+    fn build(space: MutantSpace, pattern: &AccessPattern, policy: MutantPolicy) -> CandidateSet {
+        let width = pattern.num_accesses();
+        let mut set = CandidateSet {
+            enumerated: 0,
+            width,
+            pairs: Vec::new(),
+            pair_ids: Vec::new(),
+            offsets: vec![0],
+            passes: Vec::new(),
+            padded_len: Vec::new(),
+            positions: Vec::new(),
+        };
+        // Pair interning: per stage, the `(demand, id)` pairs seen so far.
+        let mut interned: Vec<Vec<(u16, u16)>> = vec![Vec::new(); space.num_stages];
+        // A merged candidate has at most one pair per access; unused
+        // slots stay `u16::MAX`.
+        let mut seen: HashSet<([u16; MAX_MEMORY_ACCESSES], u32)> = HashSet::new();
+        let mut merged = Vec::with_capacity(width);
+        space.enumerate_with(pattern, policy, |m| {
+            set.enumerated += 1;
+            merge_stage_demands(m.stages, &pattern.demands, &mut merged);
+            let mut key = [u16::MAX; MAX_MEMORY_ACCESSES];
+            for (slot, &(s, d)) in key.iter_mut().zip(&merged) {
+                *slot = match interned[s].iter().find(|&&(dd, _)| dd == d) {
+                    Some(&(_, id)) => id,
+                    None => {
+                        let id = u16::try_from(set.pairs.len()).expect("pair ids fit u16");
+                        set.pairs.push((s, d));
+                        interned[s].push((d, id));
+                        id
+                    }
+                };
             }
-            dedup.push(DedupCandidate {
-                passes: mutant.passes,
-                idx,
-                stages,
-            });
+            if !seen.insert((key, m.passes)) {
+                return;
+            }
+            set.pair_ids.extend_from_slice(&key[..merged.len()]);
+            set.offsets
+                .push(u32::try_from(set.pair_ids.len()).expect("arena fits u32"));
+            set.passes.push(m.passes);
+            set.padded_len.push(m.padded_len);
+            set.positions.extend_from_slice(m.positions);
+        });
+        set
+    }
+
+    fn len(&self) -> usize {
+        self.passes.len()
+    }
+
+    fn pair_ids(&self, c: usize) -> &[u16] {
+        &self.pair_ids[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// Candidate `c`'s `(stage, demand)` list, as
+    /// [`Mutant::stage_demands`] gives it.
+    fn stage_demands(&self, c: usize) -> Vec<(usize, u16)> {
+        self.pair_ids(c)
+            .iter()
+            .map(|&id| self.pairs[usize::from(id)])
+            .collect()
+    }
+
+    /// Candidate `c`'s representative mutant, materialized.
+    fn mutant(&self, c: usize, space: MutantSpace) -> Mutant {
+        let positions = self.positions[c * self.width..(c + 1) * self.width].to_vec();
+        Mutant {
+            stages: positions.iter().map(|&p| space.stage_of(p)).collect(),
+            positions,
+            passes: self.passes[c],
+            padded_len: self.padded_len[c],
         }
-        CandidateSet { mutants, dedup }
+    }
+}
+
+/// The selection key of candidate `c`, packed so that integer order is
+/// the lexicographic `(cost, passes, c)` order. `c` is unique, so no two
+/// candidates tie; `u128::MAX` (never a real key, as `c < u32::MAX`)
+/// marks a candidate already probed.
+fn select_key(cost: i64, passes: u32, c: usize) -> u128 {
+    let cost = (cost as u64) ^ (1 << 63);
+    (u128::from(cost) << 64) | (u128::from(passes) << 32) | c as u128
+}
+
+/// Failed probes before the lazy selection stops min-scanning and
+/// filters the remaining candidates in one pass.
+const MIN_SCANS: usize = 4;
+
+/// The index of the least key (built by [`select_key`]) whose candidate
+/// passes `feasible`: the candidate that sorting the keys and probing
+/// in order would pick, found without a sort. Usually one of the first
+/// few candidates in key order is feasible, so they are taken by
+/// min-scans, retiring each failed key to `u128::MAX`. After
+/// [`MIN_SCANS`] failures the pools are tight: `feasible` is a fixed
+/// predicate, so the winner is the least key among feasible candidates,
+/// found in one pass that probes only keys below the best feasible one
+/// so far. If no candidate is feasible every one has been probed once,
+/// as in the sorted scan.
+fn select_lazily(keys: &mut [u128], mut feasible: impl FnMut(usize) -> bool) -> Option<usize> {
+    let index = |key: u128| (key & u128::from(u32::MAX)) as usize;
+    for _ in 0..MIN_SCANS {
+        let best = keys.iter().copied().min().filter(|&k| k != u128::MAX)?;
+        let c = index(best);
+        if feasible(c) {
+            return Some(c);
+        }
+        keys[c] = u128::MAX;
+    }
+    let mut least = u128::MAX;
+    for (c, &key) in keys.iter().enumerate() {
+        if key < least && feasible(c) {
+            least = key;
+        }
+    }
+    (least != u128::MAX).then(|| index(least))
+}
+
+/// Why the probed candidates failed, for the rejection error.
+#[derive(Debug, Default)]
+struct Misses {
+    memory: bool,
+    tcam: bool,
+}
+
+impl Misses {
+    fn note(&mut self, e: AdmitError) {
+        match e {
+            AdmitError::OutOfMemory => self.memory = true,
+            AdmitError::OutOfTcam => self.tcam = true,
+            _ => {}
+        }
+    }
+
+    fn error(&self) -> AdmitError {
+        if self.tcam && !self.memory {
+            AdmitError::OutOfTcam
+        } else if self.memory {
+            AdmitError::OutOfMemory
+        } else {
+            AdmitError::NoFeasibleMutant
+        }
+    }
+}
+
+/// A search's winner, before it is applied.
+struct Found {
+    mutant: Mutant,
+    stages: Vec<(usize, u16)>,
+    mutants_considered: usize,
+}
+
+/// Wall-clock laps between the phases of one search.
+struct Lap(Instant);
+
+impl Lap {
+    /// Nanoseconds since the previous lap.
+    fn ns(&mut self) -> u64 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.0).as_nanos();
+        self.0 = now;
+        ns.min(u128::from(u64::MAX)) as u64
     }
 }
 
@@ -267,6 +432,12 @@ struct AllocAccounting {
     admitted: Counter,
     rejected: Counter,
     admit_ns: Histogram,
+    /// Per-phase wall time of every search that gets past validation:
+    /// candidate enumeration (a memo hit on the incremental path),
+    /// ranking, and probing up to the decision.
+    enumerate_wall_ns: Histogram,
+    rank_wall_ns: Histogram,
+    probe_wall_ns: Histogram,
     per_fid: BTreeMap<Fid, FidAllocStats>,
 }
 
@@ -277,6 +448,9 @@ impl Clone for AllocAccounting {
             admitted: self.admitted.detached_copy(),
             rejected: self.rejected.detached_copy(),
             admit_ns: self.admit_ns.detached_copy(),
+            enumerate_wall_ns: self.enumerate_wall_ns.detached_copy(),
+            rank_wall_ns: self.rank_wall_ns.detached_copy(),
+            probe_wall_ns: self.probe_wall_ns.detached_copy(),
             per_fid: self.per_fid.clone(),
         }
     }
@@ -304,13 +478,17 @@ impl Allocator {
     }
 
     /// Adopt the allocator's admission counters and compute-time
-    /// histogram into a metrics registry.
+    /// histograms into a metrics registry.
     pub fn bind_telemetry(&self, telemetry: &Telemetry) {
         let reg = telemetry.registry();
-        reg.register_counter("alloc.arrivals", &self.accounting.arrivals);
-        reg.register_counter("alloc.admitted", &self.accounting.admitted);
-        reg.register_counter("alloc.rejected", &self.accounting.rejected);
-        reg.register_histogram("alloc.admit_ns", &self.accounting.admit_ns);
+        let acc = &self.accounting;
+        reg.register_counter("alloc.arrivals", &acc.arrivals);
+        reg.register_counter("alloc.admitted", &acc.admitted);
+        reg.register_counter("alloc.rejected", &acc.rejected);
+        reg.register_histogram("alloc.admit_ns", &acc.admit_ns);
+        reg.register_histogram("alloc.enumerate_wall_ns", &acc.enumerate_wall_ns);
+        reg.register_histogram("alloc.rank_wall_ns", &acc.rank_wall_ns);
+        reg.register_histogram("alloc.probe_wall_ns", &acc.probe_wall_ns);
     }
 
     /// Totals of the admission ledger: `(arrivals, admitted, rejected)`.
@@ -417,9 +595,10 @@ impl Allocator {
     }
 
     /// Admit a new application (Section 4.3's allocation process,
-    /// control-plane half). Uses the incremental search: per-stage
-    /// feasibility and TCAM range-expansion costs are memoized across
-    /// the arrival's mutants.
+    /// control-plane half). Uses the incremental search: the candidate
+    /// set is cached per service, and per-pair scheme costs, feasibility
+    /// and TCAM range-expansion costs are tabulated across the arrival's
+    /// candidates.
     pub fn admit(
         &mut self,
         fid: Fid,
@@ -429,10 +608,12 @@ impl Allocator {
         self.admit_impl(fid, pattern, policy, true)
     }
 
-    /// [`Allocator::admit`] without the per-arrival memos — every
-    /// candidate re-probes every stage from scratch. Kept as the
-    /// equivalence oracle for the incremental search and as the
-    /// baseline the bench harness measures speedup against.
+    /// [`Allocator::admit`] by the literal algorithm: enumerate and
+    /// materialize every mutant, deduplicate, score each candidate
+    /// through [`Scheme::cost`], sort, and probe in order, re-probing
+    /// every stage from scratch. Kept as the equivalence oracle for the
+    /// incremental search and as the baseline the bench harness
+    /// measures speedup against.
     pub fn admit_reference(
         &mut self,
         fid: Fid,
@@ -491,114 +672,170 @@ impl Allocator {
         }
         pattern.validate()?;
 
-        // Take the allocator-resident memo for the admission (a local
-        // sidesteps the &self/&mut-field borrow conflict). The
-        // pool-state-dependent tables are invalidated per arrival; the
-        // pure prefix-price and candidate-enumeration tables persist.
-        let mut memo = std::mem::take(&mut self.memo);
-        if incremental {
-            memo.mem.clear();
-            memo.tcam.clear();
-            if memo.prefix.len() > PREFIX_MEMO_CAP {
-                memo.prefix.clear();
-            }
-        }
-
-        // Enumeration + dedup is pure in the pool state, so the
-        // incremental path serves it from the persistent memo; the
-        // reference path rebuilds it from scratch every arrival.
-        let cset = if incremental {
-            memo.candidate_set(&self.cfg, pattern, policy)
-        } else {
-            Arc::new(CandidateSet::build(&self.cfg, pattern, policy))
-        };
-        let mutants_considered = cset.mutants.len();
-        if cset.mutants.is_empty() {
+        let mut lap = Lap(start);
+        let found = if incremental {
+            // Take the allocator-resident memo for the search (a local
+            // sidesteps the &self/&mut-field borrow conflict).
+            let mut memo = std::mem::take(&mut self.memo);
+            let found = self.search_incremental(pattern, policy, &mut memo, &mut lap);
             self.memo = memo;
-            return Err(AdmitError::NoFeasibleMutant);
-        }
-
-        // Scheme costs are cheap to evaluate (and pool-dependent, so
-        // re-scored every arrival); candidates are ranked first and
-        // feasibility (which must trial-apply pool changes to price the
-        // protection TCAM) is probed lazily in rank order: the first
-        // feasible candidate in `(cost, passes, enumeration order)` is
-        // exactly the candidate an exhaustive scan would select.
-        // (cost, passes, enumeration index, dedup index)
-        let mut ranked: Vec<(i64, u32, usize, usize)> = cset
-            .dedup
-            .iter()
-            .enumerate()
-            .map(|(di, c)| {
-                let cost = self
-                    .cfg
-                    .scheme
-                    .cost(&self.pools, &c.stages, pattern.elastic);
-                (cost, c.passes, c.idx, di)
-            })
-            .collect();
-        if self.cfg.scheme != Scheme::FirstFit {
-            // Scheme preference dominates; recirculation passes break
-            // ties (least-constrained deliberately trades extra passes
-            // for better placements — Section 6.1), then the systematic
-            // enumeration order. FirstFit keeps pure enumeration order:
-            // "greedily selects the first available memory region in
-            // the systematic enumeration sequence".
-            ranked.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-        }
-
-        let mut feasible_candidates = 0usize;
-        let mut saw_memory_fail = false;
-        let mut saw_tcam_fail = false;
-        let mut chosen: Option<(usize, usize)> = None;
-        for (_, _, idx, di) in ranked {
-            let stages = &cset.dedup[di].stages;
-            let probe = if incremental {
-                self.candidate_feasible_cached(stages, pattern.elastic, &mut memo)
-            } else {
-                self.candidate_feasible(stages, pattern.elastic)
-            };
-            match probe {
-                Ok(()) => {
-                    feasible_candidates += 1;
-                    chosen = Some((idx, di));
-                    break;
-                }
-                Err(AdmitError::OutOfMemory) => saw_memory_fail = true,
-                Err(AdmitError::OutOfTcam) => saw_tcam_fail = true,
-                Err(_) => {}
-            }
-        }
-        self.memo = memo;
-
-        let (best_idx, best_di) = chosen.ok_or(if saw_tcam_fail && !saw_memory_fail {
-            AdmitError::OutOfTcam
-        } else if saw_memory_fail {
-            AdmitError::OutOfMemory
+            found
         } else {
-            AdmitError::NoFeasibleMutant
-        })?;
+            self.search_reference(pattern, policy, &mut lap)
+        }?;
 
-        let mutant = cset.mutants[best_idx].clone();
-        let victims = self.apply(fid, &cset.dedup[best_di].stages, pattern.elastic);
+        let victims = self.apply(fid, &found.stages, pattern.elastic);
         self.apps.insert(
             fid,
             AppRecord {
                 pattern: pattern.clone(),
                 policy,
-                mutant: mutant.clone(),
+                mutant: found.mutant.clone(),
             },
         );
         debug_assert!(self.pools.iter().all(|p| p.check_invariants().is_ok()));
 
         Ok(AllocOutcome {
             fid,
-            mutant,
+            mutant: found.mutant,
             placements: self.placements_of(fid),
             victims,
-            mutants_considered,
-            feasible_candidates,
+            mutants_considered: found.mutants_considered,
+            feasible_candidates: 1,
             compute_time: start.elapsed(),
+        })
+    }
+
+    /// The incremental search: the cached candidate set, per-pair score
+    /// tables, and lazy selection of the first feasible candidate in
+    /// `(cost, passes, enumeration order)` — exactly the candidate the
+    /// reference's exhaustive sort-then-probe selects, because the key
+    /// is unique and feasibility is a fixed property of a candidate
+    /// while the pools do not change.
+    fn search_incremental(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        memo: &mut FeasMemo,
+        lap: &mut Lap,
+    ) -> Result<Found, AdmitError> {
+        let space = self.cfg.mutant_space();
+        let cset = memo.candidate_set(space, pattern, policy);
+        self.accounting.enumerate_wall_ns.record(lap.ns());
+        if cset.len() == 0 {
+            return Err(AdmitError::NoFeasibleMutant);
+        }
+        let npairs = cset.pairs.len();
+        memo.mem.clear();
+        memo.mem.resize(npairs, None);
+        memo.tcam.clear();
+        memo.tcam.resize(npairs, None);
+        if memo.prefix.len() > PREFIX_MEMO_CAP {
+            memo.prefix.clear();
+        }
+
+        let elastic = pattern.elastic;
+        let mut misses = Misses::default();
+        let mut probe =
+            |c: usize, memo: &mut FeasMemo| match self.probe_pairs(&cset, c, elastic, memo) {
+                Ok(()) => true,
+                Err(e) => {
+                    misses.note(e);
+                    false
+                }
+            };
+        let winner = if self.cfg.scheme == Scheme::FirstFit {
+            // "Greedily selects the first available memory region in the
+            // systematic enumeration sequence": no scores to compute.
+            self.accounting.rank_wall_ns.record(lap.ns());
+            (0..cset.len()).find(|&c| probe(c, memo))
+        } else {
+            // Scheme preference dominates; recirculation passes break
+            // ties (least-constrained deliberately trades extra passes
+            // for better placements — Section 6.1), then the systematic
+            // enumeration order.
+            let scheme = self.cfg.scheme;
+            memo.scores.clear();
+            memo.scores.extend(
+                cset.pairs
+                    .iter()
+                    .map(|&(s, d)| scheme.stage_cost(&self.pools[s], d, elastic)),
+            );
+            let mut keys = std::mem::take(&mut memo.keys);
+            keys.clear();
+            keys.extend((0..cset.len()).map(|c| {
+                let cost: i64 = cset
+                    .pair_ids(c)
+                    .iter()
+                    .map(|&id| memo.scores[usize::from(id)])
+                    .sum();
+                select_key(cost, cset.passes[c], c)
+            }));
+            self.accounting.rank_wall_ns.record(lap.ns());
+            let winner = select_lazily(&mut keys, |c| probe(c, memo));
+            memo.keys = keys;
+            winner
+        };
+        self.accounting.probe_wall_ns.record(lap.ns());
+        let c = winner.ok_or_else(|| misses.error())?;
+        Ok(Found {
+            mutant: cset.mutant(c, space),
+            stages: cset.stage_demands(c),
+            mutants_considered: cset.enumerated,
+        })
+    }
+
+    /// The literal search behind [`Allocator::admit_reference`].
+    fn search_reference(
+        &self,
+        pattern: &AccessPattern,
+        policy: MutantPolicy,
+        lap: &mut Lap,
+    ) -> Result<Found, AdmitError> {
+        let mutants = self.cfg.mutant_space().enumerate(pattern, policy);
+        let mut seen: HashSet<(Vec<(usize, u16)>, u32)> = HashSet::new();
+        let mut dedup: Vec<(usize, Vec<(usize, u16)>)> = Vec::new();
+        for (idx, mutant) in mutants.iter().enumerate() {
+            let stages = mutant.stage_demands(&pattern.demands);
+            if seen.insert((stages.clone(), mutant.passes)) {
+                dedup.push((idx, stages));
+            }
+        }
+        self.accounting.enumerate_wall_ns.record(lap.ns());
+        if mutants.is_empty() {
+            return Err(AdmitError::NoFeasibleMutant);
+        }
+
+        // (cost, passes, enumeration index, dedup index)
+        let mut ranked: Vec<(i64, u32, usize, usize)> = dedup
+            .iter()
+            .enumerate()
+            .map(|(di, (idx, stages))| {
+                let cost = self.cfg.scheme.cost(&self.pools, stages, pattern.elastic);
+                (cost, mutants[*idx].passes, *idx, di)
+            })
+            .collect();
+        if self.cfg.scheme != Scheme::FirstFit {
+            ranked.sort_unstable_by_key(|a| (a.0, a.1, a.2));
+        }
+        self.accounting.rank_wall_ns.record(lap.ns());
+
+        let mut misses = Misses::default();
+        let chosen = ranked.into_iter().find(|&(_, _, _, di)| {
+            match self.candidate_feasible(&dedup[di].1, pattern.elastic) {
+                Ok(()) => true,
+                Err(e) => {
+                    misses.note(e);
+                    false
+                }
+            }
+        });
+        self.accounting.probe_wall_ns.record(lap.ns());
+        let (_, _, idx, di) = chosen.ok_or_else(|| misses.error())?;
+        Ok(Found {
+            mutant: mutants[idx].clone(),
+            stages: std::mem::take(&mut dedup[di].1),
+            mutants_considered: mutants.len(),
         })
     }
 
@@ -626,25 +863,27 @@ impl Allocator {
         Ok(victims)
     }
 
-    /// [`Allocator::candidate_feasible`] with per-arrival memoization:
-    /// each `(stage, demand)` probe and each TCAM range price is
-    /// computed once per admission, however many mutants touch it.
-    /// The pools are immutable during candidate probing, so a memoized
-    /// answer is exact — the two probes are observationally identical.
-    fn candidate_feasible_cached(
+    /// [`Allocator::candidate_feasible`] for candidate `c`, with each
+    /// pair's memory probe and TCAM price computed once per arrival
+    /// however many candidates share it. The pools are immutable during
+    /// the search, so a tabulated answer is exact — the two probes are
+    /// observationally identical.
+    fn probe_pairs(
         &self,
-        stages: &[(usize, u16)],
+        cset: &CandidateSet,
+        c: usize,
         elastic: bool,
         memo: &mut FeasMemo,
     ) -> Result<(), AdmitError> {
         let FeasMemo {
             mem, tcam, prefix, ..
         } = memo;
+        let ids = cset.pair_ids(c);
         // Memory first, TCAM second — mirroring the uncached probe so
         // the OutOfMemory/OutOfTcam error priority is preserved.
-        for &(s, demand) in stages {
-            let key = (s, if elastic { 0 } else { demand });
-            let fits = *mem.entry(key).or_insert_with(|| {
+        for &id in ids {
+            let (s, demand) = cset.pairs[usize::from(id)];
+            let fits = *mem[usize::from(id)].get_or_insert_with(|| {
                 let pool = &self.pools[s];
                 if elastic {
                     pool.elastic_fits()
@@ -656,9 +895,9 @@ impl Allocator {
                 return Err(AdmitError::OutOfMemory);
             }
         }
-        for &(s, demand) in stages {
-            let key = (s, if elastic { 0 } else { demand });
-            let fits = *tcam.entry(key).or_insert_with(|| {
+        for &id in ids {
+            let (s, demand) = cset.pairs[usize::from(id)];
+            let fits = *tcam[usize::from(id)].get_or_insert_with(|| {
                 let mut trial = self.pools[s].clone();
                 if elastic {
                     trial.insert_elastic(u16::MAX); // placeholder fid
@@ -962,11 +1201,52 @@ mod tests {
     }
 
     #[test]
+    fn lazy_selection_picks_what_the_sorted_scan_picks() {
+        // A small LCG: tie-heavy costs, a few pass counts, and
+        // feasibility densities from none to all.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for trial in 0..500 {
+            let n = 1 + next(120) as usize;
+            let density = next(11);
+            let cands: Vec<(i64, u32, bool)> = (0..n)
+                .map(|_| {
+                    let cost = next(7) as i64 - 3;
+                    (cost, 1 + next(3) as u32, next(10) < density)
+                })
+                .collect();
+            let mut sorted: Vec<usize> = (0..n).collect();
+            sorted.sort_by_key(|&c| (cands[c].0, cands[c].1, c));
+            let expected = sorted.into_iter().find(|&c| cands[c].2);
+
+            let mut keys: Vec<u128> = cands
+                .iter()
+                .enumerate()
+                .map(|(c, &(cost, passes, _))| select_key(cost, passes, c))
+                .collect();
+            let mut probed = vec![0u32; n];
+            let got = select_lazily(&mut keys, |c| {
+                probed[c] += 1;
+                cands[c].2
+            });
+            assert_eq!(got, expected, "trial {trial}");
+            if expected.is_none() {
+                assert!(probed.iter().all(|&p| p == 1), "trial {trial}: {probed:?}");
+            }
+        }
+    }
+
+    #[test]
     fn cached_and_reference_probes_agree() {
         // Two allocators fed the same arrival sequence, one through the
         // memoized probe and one through the from-scratch probe, must
         // make identical decisions at every step.
-        for scheme in [Scheme::WorstFit, Scheme::BestFit, Scheme::FirstFit] {
+        for scheme in Scheme::ALL {
             let mut fast = Allocator::new(cfg(scheme));
             let mut slow = Allocator::new(cfg(scheme));
             for fid in 0..16u16 {
