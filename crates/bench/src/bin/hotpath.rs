@@ -324,10 +324,10 @@ fn e2e(mode: &Mode) -> String {
 }
 
 /// Heap allocations per steady-state frame on each path.
-fn allocs_per_frame(mode: &Mode) -> (f64, f64, String) {
+fn allocs_per_frame(mode: &Mode) -> (f64, f64) {
     let mut hl = HotLoop::new(&cache_query(), b"GET k");
     for _ in 0..16 {
-        hl.step(); // warm the decode cache and buffer capacities
+        hl.step(); // settle buffer capacities
     }
     let before = alloc_count();
     for _ in 0..mode.alloc_probe_frames {
@@ -342,16 +342,8 @@ fn allocs_per_frame(mode: &Mode) -> (f64, f64, String) {
         hl.step_reference();
     }
     let reference = (alloc_count() - before) as f64 / mode.alloc_probe_frames as f64;
-    let ds = hl.rt.decode_stats();
-    eprintln!(
-        "allocs/frame: opt {:.3}, ref {:.3}; decode cache {} hits / {} misses",
-        opt, reference, ds.hits, ds.misses
-    );
-    let cache = format!(
-        "{{\"hits\":{},\"misses\":{},\"invalidations\":{},\"evictions\":{}}}",
-        ds.hits, ds.misses, ds.invalidations, ds.evictions
-    );
-    (opt, reference, cache)
+    eprintln!("allocs/frame: opt {opt:.3}, ref {reference:.3}");
+    (opt, reference)
 }
 
 fn main() {
@@ -364,20 +356,19 @@ fn main() {
     let alloc = alloc_workloads(&mode);
     let e2e = e2e(&mode);
     let parallel = parallel(&mode);
-    let (apf_opt, apf_ref, decode_cache) = allocs_per_frame(&mode);
+    let (apf_opt, apf_ref) = allocs_per_frame(&mode);
 
     let mut json = String::new();
     let _ = write!(
         json,
-        "{{\n  \"mode\": \"{}\",\n  \"interp\": [\n    {}\n  ],\n  \"alloc\": [\n    {}\n  ],\n  \"e2e\": {},\n  \"parallel\": {},\n  \"allocs_per_frame\": {{\"opt\":{:.3},\"ref\":{:.3}}},\n  \"decode_cache\": {}\n}}\n",
+        "{{\n  \"mode\": \"{}\",\n  \"interp\": [\n    {}\n  ],\n  \"alloc\": [\n    {}\n  ],\n  \"e2e\": {},\n  \"parallel\": {},\n  \"allocs_per_frame\": {{\"opt\":{:.3},\"ref\":{:.3}}}\n}}\n",
         mode.label,
         interp.join(",\n    "),
         alloc.join(",\n    "),
         e2e,
         parallel,
         apf_opt,
-        apf_ref,
-        decode_cache
+        apf_ref
     );
     std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
     print!("{json}");

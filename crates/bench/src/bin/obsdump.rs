@@ -18,7 +18,7 @@ use activermt_core::alloc::{MutantPolicy, Scheme};
 use activermt_core::SwitchConfig;
 use activermt_isa::wire::{build_alloc_request_with_program, AccessDescriptor};
 use activermt_isa::{Opcode, ProgramBuilder};
-use activermt_modelcheck::{check_invariants_assuming, report_violations, TrafficAssumption};
+use activermt_modelcheck::{check_invariants, report_violations};
 use activermt_net::apphosts::{CacheClientConfig, CacheClientHost};
 use activermt_net::fault::{CrashPlan, FaultPlan};
 use activermt_net::host::{Host, KvServerHost};
@@ -199,22 +199,13 @@ fn run(scale: &Scale) -> TelemetrySnapshot {
     // Quiesce point: audit the final control-plane state with the
     // shared invariant engine and fold the result into the snapshot
     // (counter + journal events), so the dump's own gate below can
-    // require a clean bill. Open world: the rogue host's FID reaches
-    // the decode cache without ever being admitted.
+    // require a clean bill.
     let node = sim.switch();
-    let mut violations = check_invariants_assuming(
-        node.controller(),
-        node.plane(),
-        TrafficAssumption::OpenWorld,
-    );
+    let mut violations = check_invariants(node.controller(), node.plane());
     // Audit every shard replica too: each worker's protection tables
-    // and decode cache must independently agree with the controller.
+    // must independently agree with the controller.
     node.for_each_runtime(|_, rt| {
-        violations.extend(check_invariants_assuming(
-            node.controller(),
-            rt,
-            TrafficAssumption::OpenWorld,
-        ));
+        violations.extend(check_invariants(node.controller(), rt));
     });
     report_violations(node.telemetry(), scale.run_ns, &violations);
     for v in &violations {

@@ -130,7 +130,7 @@ pub fn nop_program(len: usize) -> Program {
 }
 
 /// A runtime with FID 7 granted the whole register space in every
-/// stage, matching the Criterion interp benches.
+/// stage.
 pub fn runtime_with_grants() -> SwitchRuntime {
     let mut rt = SwitchRuntime::new(SwitchConfig::default());
     for s in 0..20 {
@@ -346,8 +346,6 @@ mod tests {
             hl.step_reference();
         }
         assert_eq!(hl.rt.stats().malformed_drops, 0);
-        let ds = hl.rt.decode_stats();
-        assert!(ds.hits >= 3, "steady state must hit the decode cache");
     }
 
     #[test]

@@ -178,8 +178,6 @@ pub struct RecoveryStats {
     pub reinstalled_entries: u64,
     /// Orphaned protection-table entries removed.
     pub scrubbed_entries: u64,
-    /// Orphaned decode-cache residents flushed.
-    pub scrubbed_decode: u64,
     /// In-flight victims re-quiesced in the data plane.
     pub requiesced: u64,
     /// FIDs found quiesced with no reallocation to blame, resumed.
@@ -193,7 +191,6 @@ impl RecoveryStats {
     pub fn total(&self) -> u64 {
         self.reinstalled_entries
             + self.scrubbed_entries
-            + self.scrubbed_decode
             + self.requiesced
             + self.reactivated_strays
             + self.resent_signals
@@ -1220,8 +1217,6 @@ impl Controller {
     /// * protection entries present for FIDs (or stages) the ledger
     ///   does not grant are scrubbed, and granted entries that are
     ///   missing or divergent are re-installed;
-    /// * decode-cache residents without a granted placement are
-    ///   flushed;
     /// * quiesce state is re-asserted — in-flight victims that the
     ///   switch shows active are re-deactivated, and quiesced FIDs no
     ///   reallocation can account for are resumed;
@@ -1275,20 +1270,6 @@ impl Controller {
                     EventKind::RecoveryRepair {
                         fid,
                         repair: RepairKind::ReinstallEntry,
-                    },
-                );
-            }
-        }
-        // Decode-cache residents must trace back to a granted placement.
-        for fid in runtime.decoded_fids() {
-            if !self.allocator.contains(fid) {
-                runtime.invalidate_decode(fid);
-                stats.scrubbed_decode += 1;
-                self.journal_event(
-                    now_ns,
-                    EventKind::RecoveryRepair {
-                        fid,
-                        repair: RepairKind::ScrubDecode,
                     },
                 );
             }
@@ -1394,7 +1375,6 @@ impl Controller {
             reinstalled_entries: self.recovery_stats.reinstalled_entries
                 + stats.reinstalled_entries,
             scrubbed_entries: self.recovery_stats.scrubbed_entries + stats.scrubbed_entries,
-            scrubbed_decode: self.recovery_stats.scrubbed_decode + stats.scrubbed_decode,
             requiesced: self.recovery_stats.requiesced + stats.requiesced,
             reactivated_strays: self.recovery_stats.reactivated_strays + stats.reactivated_strays,
             resent_signals: self.recovery_stats.resent_signals + stats.resent_signals,
@@ -1419,7 +1399,7 @@ impl Controller {
     /// let the full engine catch it.
     #[cfg(debug_assertions)]
     fn debug_check_invariants(&self, runtime: &dyn DataPlane) {
-        if self.seeded_bug.is_some() || runtime.decode_invalidation_disabled() {
+        if self.seeded_bug.is_some() {
             return;
         }
         for (stage, pool) in self.allocator.pools().iter().enumerate() {

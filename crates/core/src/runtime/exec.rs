@@ -14,13 +14,14 @@
 //! ## Hot-path memory discipline
 //!
 //! A steady-state active frame costs **zero heap allocations**:
-//! instruction words are served from the [`DecodeCache`] (decoded once
-//! per distinct byte pattern into a fixed-size scratch, never into a
-//! per-frame `Vec`), protection entries are resolved through a dense
-//! slot index computed once per frame, results are written back into
-//! the frame in place, and outputs go into a caller-owned buffer via
-//! [`SwitchRuntime::process_frame_into`]. Only cache misses, FORK
-//! clones, and malformed input touch the allocator.
+//! instruction words are decoded through the opcode table into a
+//! fixed-size scratch (never into a per-frame `Vec`; see
+//! [`decode`](crate::runtime::decode)), protection entries are resolved
+//! through a dense slot index computed once per frame, results are
+//! written back into the frame in place, and outputs go into a
+//! caller-owned buffer via [`SwitchRuntime::process_frame_into`]. Only a
+//! FID's first packet, FORK clones, and malformed input touch the
+//! allocator.
 //!
 //! ## Latency model
 //!
@@ -31,9 +32,7 @@
 //! recirculation adds two more.
 
 use crate::config::SwitchConfig;
-use crate::runtime::decode_cache::{
-    new_scratch, DecodeCache, DecodeCacheStats, InstrScratch, MalformedProgram,
-};
+use crate::runtime::decode::{decode_into, new_scratch, DecodeStats, InstrScratch};
 use crate::runtime::interp;
 use crate::runtime::protect::ProtectionTables;
 use crate::runtime::recirc::RecircLimiter;
@@ -49,11 +48,6 @@ use activermt_rmt::traffic::{TrafficManager, Verdict};
 use activermt_rmt::Phv;
 use activermt_telemetry::{Counter, Registry, Telemetry};
 use std::collections::{BTreeMap, HashSet};
-
-/// Decode-cache capacity: far above any realistic resident-program mix
-/// (the pipeline holds at most tens of FIDs), so steady state never
-/// evicts; churny mixes merely re-decode.
-const DECODE_CACHE_CAPACITY: usize = 4096;
 
 /// Where an output frame should go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,7 +280,7 @@ pub struct FidPacketStats {
 
 /// The data-plane half of the ActiveRMT switch.
 ///
-/// Fields are crate-visible so the reference (uncached) execution path
+/// Fields are crate-visible so the reference (allocating) execution path
 /// in [`reference`](crate::runtime::reference) can share the exact same
 /// state for differential testing.
 #[derive(Debug, Clone)]
@@ -299,14 +293,9 @@ pub struct SwitchRuntime {
     pub(crate) deactivated: HashSet<Fid>,
     pub(crate) privileged: HashSet<Fid>,
     pub(crate) recirc_limiter: Option<RecircLimiter>,
-    pub(crate) decode: DecodeCache,
     pub(crate) scratch: Box<InstrScratch>,
     pub(crate) stats: RuntimeCounters,
     pub(crate) fid_table: BTreeMap<Fid, FidPacketStats>,
-    /// Testing-only fault: when set, region install/remove skips the
-    /// decode-cache invalidation (the "stale cache entry" seeded bug
-    /// the model checker must catch). Never set outside tests.
-    pub(crate) skip_decode_invalidation: bool,
 }
 
 impl SwitchRuntime {
@@ -322,11 +311,9 @@ impl SwitchRuntime {
             recirc_limiter: config
                 .recirc_budget
                 .map(|(rate, burst)| RecircLimiter::new(rate, burst)),
-            decode: DecodeCache::new(DECODE_CACHE_CAPACITY),
             scratch: new_scratch(),
             stats: RuntimeCounters::default(),
             fid_table: BTreeMap::new(),
-            skip_decode_invalidation: false,
             config,
         }
     }
@@ -339,12 +326,11 @@ impl SwitchRuntime {
         rt
     }
 
-    /// Adopt the runtime's live counters (frame accounting plus the
-    /// decode cache's) into `telemetry`'s registry. The handles are
-    /// shared, so the registry observes every subsequent frame.
+    /// Adopt the runtime's live frame-accounting counters into
+    /// `telemetry`'s registry. The handles are shared, so the registry
+    /// observes every subsequent frame.
     pub fn bind_telemetry(&self, telemetry: &Telemetry) {
         self.stats.bind(telemetry.registry());
-        self.decode.bind(telemetry.registry());
     }
 
     /// The switch configuration.
@@ -372,29 +358,22 @@ impl SwitchRuntime {
         self.traffic.stats()
     }
 
-    /// Decode-cache telemetry (hits, misses, invalidations).
-    pub fn decode_stats(&self) -> DecodeCacheStats {
-        self.decode.stats()
+    /// Always all-zero: the runtime decodes every frame through the
+    /// opcode table and keeps no decode cache (see [`DecodeStats`]).
+    pub fn decode_stats(&self) -> DecodeStats {
+        DecodeStats::default()
     }
 
     // ----- control-plane hooks (used by the Controller) -----
 
     /// Install a protection/translation entry; returns
     /// `(entries_removed, entries_installed)`.
-    ///
-    /// Any control-plane touch of a FID invalidates its decode-cache
-    /// entries: a reallocation may coincide with the client
-    /// resynthesizing its program, and a stale decode must never
-    /// outlive the allocation that shaped it.
     pub fn install_region(
         &mut self,
         stage: usize,
         fid: Fid,
         region: RegionEntry,
     ) -> (usize, usize) {
-        if !self.skip_decode_invalidation {
-            self.decode.invalidate(fid);
-        }
         let (rm, ins) = self.protect.install(stage, fid, region);
         let tcam = &mut self.pipeline.stage_mut(stage).tcam;
         tcam.remove(rm);
@@ -405,9 +384,6 @@ impl SwitchRuntime {
 
     /// Remove `fid`'s entry in `stage`; returns entries removed.
     pub fn remove_region(&mut self, stage: usize, fid: Fid) -> usize {
-        if !self.skip_decode_invalidation {
-            self.decode.invalidate(fid);
-        }
         let rm = self.protect.remove(stage, fid);
         self.pipeline.stage_mut(stage).tcam.remove(rm);
         rm
@@ -435,13 +411,11 @@ impl SwitchRuntime {
     /// Grant `fid` the privilege level required for FORK / SET_DST
     /// when `SwitchConfig::enforce_privileges` is on (Section 7.2).
     pub fn grant_privilege(&mut self, fid: Fid) {
-        self.decode.invalidate(fid);
         self.privileged.insert(fid);
     }
 
     /// Revoke `fid`'s privilege.
     pub fn revoke_privilege(&mut self, fid: Fid) {
-        self.decode.invalidate(fid);
         self.privileged.remove(&fid);
         if let Some(l) = self.recirc_limiter.as_mut() {
             l.forget(fid);
@@ -458,13 +432,11 @@ impl SwitchRuntime {
     /// Quiesce a FID during reallocation: its program packets pass
     /// through unprocessed (Section 4.3).
     pub fn deactivate(&mut self, fid: Fid) {
-        self.decode.invalidate(fid);
         self.deactivated.insert(fid);
     }
 
     /// Resume processing for a FID.
     pub fn reactivate(&mut self, fid: Fid) {
-        self.decode.invalidate(fid);
         self.deactivated.remove(&fid);
     }
 
@@ -478,27 +450,6 @@ impl SwitchRuntime {
         let mut fids: Vec<Fid> = self.deactivated.iter().copied().collect();
         fids.sort_unstable();
         fids
-    }
-
-    /// FIDs with resident decode-cache entries, sorted (invariant
-    /// engine: cached decodes must never outlive protection entries).
-    pub fn decoded_fids(&self) -> Vec<Fid> {
-        self.decode.cached_fids()
-    }
-
-    /// Flush a FID's decode-cache entry (post-recovery reconciliation
-    /// scrubs residents the rebuilt controller does not know).
-    pub fn invalidate_decode(&mut self, fid: Fid) {
-        self.decode.invalidate(fid);
-    }
-
-    /// Testing-only: make region install/remove *skip* decode-cache
-    /// invalidation, emulating a controller that forgets to flush stale
-    /// decodes. Exists so the model checker's mutation tests can prove
-    /// the cache-coherence invariant catches the bug.
-    #[doc(hidden)]
-    pub fn seed_skip_decode_invalidation(&mut self, on: bool) {
-        self.skip_decode_invalidation = on;
     }
 
     /// The protection tables (tests, controller bookkeeping).
@@ -525,8 +476,8 @@ impl SwitchRuntime {
     }
 
     /// Process one frame at virtual time `now_ns`, appending outputs to
-    /// a caller-owned buffer. With a warm decode cache and a reused
-    /// `out`, a steady-state active frame performs no heap allocation.
+    /// a caller-owned buffer. With a reused `out`, a steady-state active
+    /// frame performs no heap allocation.
     pub fn process_frame_into(
         &mut self,
         now_ns: u64,
@@ -620,23 +571,20 @@ impl SwitchRuntime {
             return; // malformed program packet: drop
         };
 
-        // Resolve the instruction stream: a cache hit skips parsing; a
-        // miss decodes into the fixed scratch (no per-frame Vec). An
-        // undecodable word is a counted malformed drop — never compact
-        // the stream around it, which would misalign `pc` against the
-        // executed-flags prefix written back into the frame.
-        let (instrs, start_pc) = match self.decode.lookup_or_decode(
-            fid,
+        // Decode the instruction stream into the fixed scratch (no
+        // per-frame Vec). An undecodable word is a counted malformed
+        // drop — never compact the stream around it, which would
+        // misalign `pc` against the executed-flags prefix written back
+        // into the frame.
+        let Ok((count, start_pc)) = decode_into(
             &frame[layout.instr_off..layout.payload_off],
             &mut self.scratch,
-        ) {
-            Ok(cached) => (cached.instrs(), cached.start_pc()),
-            Err(MalformedProgram) => {
-                self.stats.malformed_drops.inc();
-                self.fid_table.entry(fid).or_default().malformed += 1;
-                return;
-            }
+        ) else {
+            self.stats.malformed_drops.inc();
+            self.fid_table.entry(fid).or_default().malformed += 1;
+            return;
         };
+        let instrs = &self.scratch[..count];
 
         // Parse the arguments into the PHV.
         let mut args = [0u32; NUM_ARGS];
@@ -874,7 +822,7 @@ impl SwitchRuntime {
     /// to `out`. The batch is drained but keeps its capacity, so a
     /// recycled batch plus a reused `out` preserves the zero-alloc
     /// steady state; batching amortizes the per-dispatch overhead
-    /// (locks, branch history, decode-cache probes for same-FID runs).
+    /// (locks, branch history for same-FID runs).
     pub fn process_frames_into(&mut self, batch: &mut FrameBatch, out: &mut Vec<TaggedOutput>) {
         let FrameBatch { jobs, scratch } = batch;
         for job in jobs.drain(..) {
@@ -896,11 +844,10 @@ impl SwitchRuntime {
     /// `Clone` detaches them for differential testing). With frames
     /// sharded by FID and per-FID grants disjoint by construction, each
     /// replica owns the register state of exactly the FIDs routed to
-    /// it, while `runtime.*` and `decode_cache.*` metrics stay global.
+    /// it, while `runtime.*` metrics stay global.
     pub(crate) fn shard_replica(&self) -> SwitchRuntime {
         let mut rt = self.clone();
         rt.stats = self.stats.shared_handle();
-        rt.decode.adopt_counters(&self.decode);
         rt
     }
 }

@@ -11,9 +11,9 @@
 //! * [`interp`] — the per-instruction semantics over the PHV and the
 //!   stage's register ALU;
 //! * [`exec`] — the pass/recirculation driver and packet rewriting;
-//! * [`decode_cache`] — the `(fid, bytes-hash) → decoded program` memo
-//!   and fixed-size decode scratch behind the zero-alloc hot path;
-//! * [`reference`] — the uncached decode-every-frame path kept for
+//! * [`decode`] — table-driven program decode into the fixed-size
+//!   scratch behind the zero-alloc hot path;
+//! * [`reference`] — the allocating decode-into-a-`Vec` path kept for
 //!   differential testing and speedup measurement;
 //! * [`plane`] — the [`DataPlane`] trait: the control-plane hooks the
 //!   controller drives, so a single runtime and the worker pool are
@@ -21,7 +21,7 @@
 //! * [`parallel`] — the shard-by-FID batched worker pool
 //!   ([`ShardedExecutor`]).
 
-pub mod decode_cache;
+pub mod decode;
 pub mod exec;
 pub mod interp;
 pub mod parallel;
@@ -30,7 +30,9 @@ pub mod protect;
 pub mod recirc;
 pub mod reference;
 
-pub use decode_cache::{DecodeCache, DecodeCacheStats, MAX_INSTRS};
+/// Former module name, kept for the benchmark's imports.
+pub use decode as decode_cache;
+pub use decode::{DecodeStats, MAX_INSTRS};
 pub use exec::{
     FidPacketStats, FrameBatch, FrameJob, OutputAction, RuntimeStats, SwitchOutput, SwitchRuntime,
     TaggedOutput,

@@ -21,20 +21,20 @@
 //! Frames move to workers in recycled [`FrameBatch`] containers
 //! (32–128 frames per dispatch) so one lock acquisition, one condvar
 //! wake and one busy-time sample are amortized over the whole batch,
-//! and same-FID runs hit the decode cache with a warm branch history.
+//! and same-FID runs execute with a warm branch history.
 //! Batch containers round-trip dispatcher → worker → spares freelist,
 //! so the steady state allocates nothing per frame.
 //!
-//! ## Control-plane coherence (decode-cache fencing)
+//! ## Control-plane coherence (fencing)
 //!
 //! The executor implements [`DataPlane`] by *fencing*: every mutating
 //! control-plane call first submits any partially filled batches and
 //! waits until every worker inbox is empty and every worker idle, then
-//! applies the update to each shard runtime in turn. A decode-cache
-//! invalidation therefore never races an in-flight batch — frames
+//! applies the update to each shard runtime in turn. A protection or
+//! quiesce update therefore never races an in-flight batch — frames
 //! enqueued before the fence execute against the old tables to
-//! completion, frames after it observe the new tables and a cold cache
-//! for the touched FID, exactly as a single-threaded runtime would.
+//! completion, frames after it observe the new tables, exactly as a
+//! single-threaded runtime would.
 //!
 //! ## Determinism
 //!
@@ -183,7 +183,6 @@ pub struct ShardedExecutor {
     // ----- control-plane mirror (authoritative for &self reads) -----
     protect: ProtectionTables,
     deactivated: HashSet<Fid>,
-    skip_decode_invalidation: bool,
 }
 
 impl ShardedExecutor {
@@ -233,7 +232,6 @@ impl ShardedExecutor {
             stats,
             protect: ProtectionTables::new(config.num_stages),
             deactivated: HashSet::new(),
-            skip_decode_invalidation: false,
             config,
         }
     }
@@ -263,7 +261,7 @@ impl ShardedExecutor {
     }
 
     /// Adopt the pool's counters into `telemetry`'s registry: the
-    /// global `runtime.*` / `decode_cache.*` cells (shared by every
+    /// global `runtime.*` cells (shared by every
     /// shard) plus per-worker `worker.<k>.*` counters.
     pub fn bind_telemetry(&self, telemetry: &Telemetry) {
         {
@@ -374,12 +372,6 @@ impl ShardedExecutor {
         self.stats.view()
     }
 
-    /// Decode-cache statistics aggregated across shards (shared cells).
-    #[must_use]
-    pub fn decode_stats(&self) -> crate::runtime::DecodeCacheStats {
-        self.with_runtime(0, SwitchRuntime::decode_stats)
-    }
-
     /// Traffic-manager statistics folded across shards.
     #[must_use]
     pub fn traffic_stats(&self) -> TrafficStats {
@@ -470,14 +462,6 @@ impl ShardedExecutor {
         let mut rt = self.shards[k].rt.lock().expect("shard runtime poisoned");
         rt.reg_write(stage, index, value)
     }
-
-    /// Testing-only: seed the "skip decode invalidation" fault on every
-    /// shard (see [`SwitchRuntime::seed_skip_decode_invalidation`]).
-    #[doc(hidden)]
-    pub fn seed_skip_decode_invalidation(&mut self, on: bool) {
-        self.skip_decode_invalidation = on;
-        self.broadcast(|rt| rt.seed_skip_decode_invalidation(on));
-    }
 }
 
 impl DataPlane for ShardedExecutor {
@@ -519,18 +503,6 @@ impl DataPlane for ShardedExecutor {
         fids
     }
 
-    fn decoded_fids(&self) -> Vec<Fid> {
-        let mut fids = Vec::new();
-        self.for_each_runtime(|_, rt| fids.extend(rt.decoded_fids()));
-        fids.sort_unstable();
-        fids.dedup();
-        fids
-    }
-
-    fn invalidate_decode(&mut self, fid: Fid) {
-        self.broadcast(|rt| rt.invalidate_decode(fid));
-    }
-
     fn reg_read_for(&self, fid: Fid, stage: usize, index: u32) -> Option<u32> {
         ShardedExecutor::reg_read(self, fid, stage, index)
     }
@@ -541,10 +513,6 @@ impl DataPlane for ShardedExecutor {
 
     fn protection(&self) -> &ProtectionTables {
         &self.protect
-    }
-
-    fn decode_invalidation_disabled(&self) -> bool {
-        self.skip_decode_invalidation
     }
 }
 

@@ -3,13 +3,12 @@
 //! The controller does not care whether frames are executed by a single
 //! [`SwitchRuntime`] or by the sharded worker pool in
 //! [`parallel`](crate::runtime::parallel): it only installs and removes
-//! protection regions, quiesces FIDs, and audits the decode cache.
-//! [`DataPlane`] is exactly that surface. `SwitchRuntime` implements it
-//! by delegation; [`ShardedExecutor`](crate::runtime::parallel::ShardedExecutor)
+//! protection regions and quiesces FIDs. [`DataPlane`] is exactly that
+//! surface. `SwitchRuntime` implements it by delegation;
+//! [`ShardedExecutor`](crate::runtime::parallel::ShardedExecutor)
 //! implements it by fencing in-flight batches and broadcasting the
-//! update to every shard — which is what keeps the decode cache
-//! coherent under concurrent control-plane invalidation (the I8
-//! cache-coherence invariant).
+//! update to every shard, so no frame runs against a half-applied
+//! update.
 
 use crate::runtime::exec::SwitchRuntime;
 use crate::runtime::protect::ProtectionTables;
@@ -20,8 +19,7 @@ use activermt_isa::wire::RegionEntry;
 /// [`SwitchRuntime`]'s surface the [`Controller`](crate::Controller)
 /// actually drives). Implementations that execute frames concurrently
 /// must make every mutating method a *fence*: no frame observes a
-/// half-applied control-plane update, and no stale decode survives the
-/// call.
+/// half-applied control-plane update.
 pub trait DataPlane {
     /// Install a protection/translation entry; returns
     /// `(entries_removed, entries_installed)`.
@@ -45,12 +43,6 @@ pub trait DataPlane {
     /// Every currently quiesced FID, sorted.
     fn deactivated_fids(&self) -> Vec<Fid>;
 
-    /// FIDs with resident decode-cache entries, sorted.
-    fn decoded_fids(&self) -> Vec<Fid>;
-
-    /// Flush a FID's decode-cache entries (post-recovery scrub).
-    fn invalidate_decode(&mut self, fid: Fid);
-
     /// Control-plane register read on behalf of `fid` (the BFRT-style
     /// extraction path of Section 4.3). Sharded planes route the read
     /// to the shard that owns `fid`'s traffic, so the value observed is
@@ -63,11 +55,6 @@ pub trait DataPlane {
 
     /// The protection tables (controller bookkeeping, invariants).
     fn protection(&self) -> &ProtectionTables;
-
-    /// Is the testing-only "skip decode invalidation" fault seeded?
-    /// (The invariant engine relaxes the cache-coherence check when a
-    /// bug has deliberately been planted.)
-    fn decode_invalidation_disabled(&self) -> bool;
 }
 
 impl DataPlane for SwitchRuntime {
@@ -99,14 +86,6 @@ impl DataPlane for SwitchRuntime {
         SwitchRuntime::deactivated_fids(self)
     }
 
-    fn decoded_fids(&self) -> Vec<Fid> {
-        SwitchRuntime::decoded_fids(self)
-    }
-
-    fn invalidate_decode(&mut self, fid: Fid) {
-        SwitchRuntime::invalidate_decode(self, fid);
-    }
-
     fn reg_read_for(&self, _fid: Fid, stage: usize, index: u32) -> Option<u32> {
         SwitchRuntime::reg_read(self, stage, index)
     }
@@ -117,9 +96,5 @@ impl DataPlane for SwitchRuntime {
 
     fn protection(&self) -> &ProtectionTables {
         SwitchRuntime::protection(self)
-    }
-
-    fn decode_invalidation_disabled(&self) -> bool {
-        self.skip_decode_invalidation
     }
 }

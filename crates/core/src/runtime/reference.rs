@@ -1,4 +1,4 @@
-//! The reference interpretation path: decode-every-frame, no caching.
+//! The reference interpretation path: decode into a fresh `Vec` per frame.
 //!
 //! [`SwitchRuntime::process_frame_reference_at`] is the pre-optimization
 //! execution driver kept verbatim (modulo the malformed-word bugfix,
@@ -8,7 +8,7 @@
 //! two reasons:
 //!
 //! * the differential proptests pin the optimized hot path
-//!   (decode cache + fixed scratch + dense protection slots) to be
+//!   (table decode into a fixed scratch + dense protection slots) to be
 //!   observationally identical to this one — frames, stats, and
 //!   register state;
 //! * the bench harness measures the optimized path's speedup against it
@@ -18,7 +18,7 @@
 //! Semantics here must track [`exec`](crate::runtime::exec) exactly;
 //! any divergence is a bug in one of the two.
 
-use crate::runtime::decode_cache::{MalformedProgram, MAX_INSTRS};
+use crate::runtime::decode::{MalformedProgram, MAX_INSTRS};
 use crate::runtime::exec::{OutputAction, SwitchOutput, SwitchRuntime};
 use crate::runtime::interp;
 use activermt_isa::constants::{ACTIVE_ETHERTYPE, ETHERNET_HEADER_LEN, NUM_ARGS};
@@ -29,7 +29,7 @@ use activermt_rmt::Phv;
 
 impl SwitchRuntime {
     /// Decode an EOF-terminated stream into a fresh `Vec`, mirroring
-    /// the cached path's malformed-stream rules (an undecodable word,
+    /// the fast path's malformed-stream rules (an undecodable word,
     /// a missing EOF, or an over-long program is an error — never a
     /// compaction).
     fn decode_reference(bytes: &[u8]) -> Result<Vec<Instruction>, MalformedProgram> {
@@ -47,7 +47,7 @@ impl SwitchRuntime {
         Err(MalformedProgram)
     }
 
-    /// Process one frame with the reference (uncached, allocating)
+    /// Process one frame with the reference (allocating)
     /// interpretation path. Observationally identical to
     /// [`SwitchRuntime::process_frame_at`].
     pub fn process_frame_reference_at(

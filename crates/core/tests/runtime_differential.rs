@@ -1,6 +1,6 @@
-//! Differential property tests: the optimized interpreter (decode
-//! cache, slot-indexed protection, in-place writeback, caller-owned
-//! output buffers) must be byte-identical to the reference
+//! Differential property tests: the optimized interpreter (fixed
+//! decode scratch, slot-indexed protection, in-place writeback,
+//! caller-owned output buffers) must be byte-identical to the reference
 //! implementation ([`SwitchRuntime::process_frame_reference_at`]) on
 //! every observable axis — emitted frames, forwarding actions,
 //! latency/pass accounting, runtime statistics, and the full register
@@ -155,10 +155,7 @@ proptest! {
     }
 
     /// Equivalence across whole interleavings of traffic with
-    /// deactivation, reallocation (which must invalidate the decode
-    /// cache) and privilege flips. Repeated frames of the same program
-    /// make the optimized path serve from a warm cache while the
-    /// reference re-decodes every time.
+    /// deactivation, reallocation and privilege flips.
     #[test]
     fn optimized_matches_reference_across_interleavings(
         picks1 in prop::collection::vec((0usize..64, 0u8..8), 1..16),

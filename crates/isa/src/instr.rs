@@ -46,6 +46,7 @@ impl InstrFlags {
     const OPERAND_MASK: u8 = 0x3F;
 
     /// Decode a raw flag byte.
+    #[inline]
     pub fn from_byte(b: u8) -> InstrFlags {
         InstrFlags {
             executed: b & Self::EXECUTED_BIT != 0,
@@ -126,6 +127,7 @@ impl Instruction {
     }
 
     /// Decode from the two wire bytes.
+    #[inline]
     pub fn from_bytes(opcode: u8, flags: u8) -> Result<Instruction> {
         Ok(Instruction {
             opcode: Opcode::from_u8(opcode)?,

@@ -66,11 +66,22 @@ macro_rules! opcodes {
             /// Every opcode in the instruction set, in encoding order.
             pub const ALL: &'static [Opcode] = &[ $(Opcode::$name,)* ];
 
+            /// The decode table: entry `b` is the opcode whose wire byte
+            /// is `b`, if any. The switch decodes with a pre-installed
+            /// exact-match table; this is its software analogue, one
+            /// indexed load per instruction word.
+            const DECODE: [Option<Opcode>; 256] = {
+                let mut table = [None; 256];
+                $( table[$val as usize] = Some(Opcode::$name); )*
+                table
+            };
+
             /// Decode an opcode byte.
+            #[inline]
             pub fn from_u8(b: u8) -> Result<Opcode> {
-                match b {
-                    $( $val => Ok(Opcode::$name), )*
-                    other => Err(Error::UnknownOpcode(other)),
+                match Opcode::DECODE[b as usize] {
+                    Some(op) => Ok(op),
+                    None => Err(Error::UnknownOpcode(b)),
                 }
             }
 
@@ -305,8 +316,15 @@ mod tests {
 
     #[test]
     fn roundtrip_all_opcodes() {
+        // Every byte value: the ones in `ALL` decode to themselves, every
+        // other byte is rejected with that byte.
+        for b in 0..=u8::MAX {
+            match Opcode::ALL.iter().find(|&&op| op as u8 == b) {
+                Some(&op) => assert_eq!(Opcode::from_u8(b), Ok(op)),
+                None => assert_eq!(Opcode::from_u8(b), Err(Error::UnknownOpcode(b))),
+            }
+        }
         for &op in Opcode::ALL {
-            assert_eq!(Opcode::from_u8(op as u8).unwrap(), op);
             assert_eq!(Opcode::from_mnemonic(op.mnemonic()), Some(op));
             // Mnemonics are case-insensitive.
             assert_eq!(

@@ -120,8 +120,7 @@ pub fn build_program_packet(
 /// waste. A template encodes once and [`ProgramTemplate::build`] merely
 /// stamps the per-packet fields (sequence number, arguments) and
 /// appends the payload. The shim must rebuild its template whenever it
-/// resynthesizes the program (a reallocation moved its regions) — the
-/// client-side mirror of the switch's decode-cache invalidation.
+/// resynthesizes the program (a reallocation moved its regions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramTemplate {
     prefix: Vec<u8>,

@@ -3,9 +3,9 @@
 //! Single-switch scopes (`small`, `medium`) explore every interleaving
 //! of allocation requests, deallocations, signal deliveries, faults
 //! (drops/duplicates/stalls/crash-recover cycles), polls, and data
-//! packets within a small-scope model, checking twelve safety
-//! invariants — nine structural plus three crash-recovery properties —
-//! at every reachable state.
+//! packets within a small-scope model, checking eleven safety
+//! invariants — eight structural (I1–I7, I9) plus three crash-recovery
+//! properties — at every reachable state.
 //!
 //! Fabric scopes (`fabric`, `fabric-medium`) lift the same search to a
 //! *federated* multi-switch deployment: transitions are the real

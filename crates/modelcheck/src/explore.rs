@@ -55,7 +55,7 @@ pub struct ExploreConfig {
 impl Default for ExploreConfig {
     fn default() -> ExploreConfig {
         ExploreConfig {
-            max_depth: 8,
+            max_depth: 9,
             seed: 1,
             max_states: 250_000,
         }
@@ -347,13 +347,13 @@ pub fn render_fabric_report(
     md.push_str(&apps.join(", "));
     md.push_str(".\n\n## Invariants checked\n\n");
     md.push_str(
-        "Per member, the structural engine I1–I9 (open world); across \
+        "Per member, the structural engine I1–I7 and I9; across \
          the fabric:\n\n",
     );
     for k in InvariantKind::fabric() {
         md.push_str(&format!("- **I{} {}**\n", k.code(), k.name()));
     }
     md.push_str("\n## Result\n\n");
-    render_result(&mut md, outcome, InvariantKind::fabric().len() + 9);
+    render_result(&mut md, outcome, InvariantKind::fabric().len() + 8);
     md
 }

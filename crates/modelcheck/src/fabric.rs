@@ -18,16 +18,15 @@
 //!   whose divergence already *aborted* the migration in place are
 //!   diagnostic, not violations: the divergent copy never served.
 //! * **F3 — fabric-wide conservation.** Every member individually
-//!   passes the structural I1–I9 checks (open-world: fabrics carry
-//!   arbitrary client traffic); a violation anywhere is lifted to a
-//!   fabric violation naming the member.
+//!   passes the structural I1–I7 and I9 checks; a violation anywhere
+//!   is lifted to a fabric violation naming the member.
 //!
 //! The temporal fabric invariants F4–F6 (route-epoch monotonicity,
 //! drain-barrier soundness, migration-machine legality) observe
 //! *transitions* and live in the fabric-scope explorer world
 //! ([`crate::fabric_world`]), not here.
 
-use crate::invariants::{check_invariants_assuming, InvariantKind, TrafficAssumption, Violation};
+use crate::invariants::{check_invariants, InvariantKind, Violation};
 use activermt_core::types::Fid;
 use activermt_core::{Controller, DataPlane};
 use std::collections::BTreeMap;
@@ -128,7 +127,7 @@ pub fn check_fabric_invariants(
 
     // ----- F3: every member structurally sound on its own -----
     for m in members {
-        for v in check_invariants_assuming(m.controller, m.plane, TrafficAssumption::OpenWorld) {
+        for v in check_invariants(m.controller, m.plane) {
             out.push(Violation {
                 kind: InvariantKind::FabricConservation,
                 fid: v.fid,

@@ -1154,7 +1154,7 @@ impl FabricWorld {
     /// Every violation visible in this state: staged temporal
     /// violations (F4 from the backend, F5/F6/shadow-F2/recovery from
     /// `apply`) plus the state predicates F1–F3 (which lift each
-    /// member's structural I1–I9).
+    /// member's structural I1–I7 and I9).
     pub fn check(&self) -> Vec<Violation> {
         let mut out = self.staged.clone();
         out.extend(self.fed.fabric().staged.iter().cloned());
@@ -1229,10 +1229,6 @@ impl FabricWorld {
             }
             bytes.push(b'd');
             for fid in m.rt.deactivated_fids() {
-                push16(&mut bytes, fid);
-            }
-            bytes.push(b'c');
-            for fid in m.rt.decoded_fids() {
                 push16(&mut bytes, fid);
             }
             bytes.push(b'g');

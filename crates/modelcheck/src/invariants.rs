@@ -55,9 +55,6 @@ pub enum InvariantKind {
     /// progressive filling over the elastic zone, stacked contiguously
     /// from the frontier in ascending FID order.
     ElasticFairness,
-    /// I8 — decode-cache/protection coherence: a cached program decode
-    /// never outlives its FID's allocation (missed invalidation).
-    DecodeCacheCoherence,
     /// I9 — accounting ledger: `arrivals = admitted + rejected` (total
     /// and per FID), and every allocator admission is classified by
     /// exactly one of verify-accepted / verify-skipped /
@@ -85,7 +82,7 @@ pub enum InvariantKind {
     /// destination after replay (byte-identical app state).
     MigrationStateLoss,
     /// F3 — conservation across the fabric: every member individually
-    /// satisfies the structural single-switch invariants (I1–I9), so
+    /// satisfies the structural single-switch invariants (I1–I7, I9), so
     /// no migration or placement leaks, double-books, or strands
     /// memory anywhere in the fabric.
     FabricConservation,
@@ -121,7 +118,6 @@ impl InvariantKind {
             InvariantKind::DeallocResidue => 5,
             InvariantKind::StuckQuiesce => 6,
             InvariantKind::ElasticFairness => 7,
-            InvariantKind::DecodeCacheCoherence => 8,
             InvariantKind::LedgerConsistency => 9,
             InvariantKind::ReplayEquivalence => 10,
             InvariantKind::GrantContinuity => 11,
@@ -145,7 +141,6 @@ impl InvariantKind {
             InvariantKind::DeallocResidue => "dealloc-residue",
             InvariantKind::StuckQuiesce => "stuck-quiesce",
             InvariantKind::ElasticFairness => "elastic-fairness",
-            InvariantKind::DecodeCacheCoherence => "decode-cache-coherence",
             InvariantKind::LedgerConsistency => "ledger-consistency",
             InvariantKind::ReplayEquivalence => "replay-equivalence",
             InvariantKind::GrantContinuity => "grant-continuity",
@@ -159,12 +154,12 @@ impl InvariantKind {
         }
     }
 
-    /// Every invariant the engine checks, in code order. I1–I9 are
+    /// Every invariant the engine checks, in code order. I1–I7 and I9 are
     /// structural (checkable against any state in isolation); I10–I12
     /// compare a recovered controller against its pre-crash
     /// fingerprint and are raised by [`crate::recovery::check_recovery`]
     /// (the explorer stages them on its [`crate::model::World`]).
-    pub fn all() -> [InvariantKind; 12] {
+    pub fn all() -> [InvariantKind; 11] {
         [
             InvariantKind::StageDisjointness,
             InvariantKind::BlockConservation,
@@ -173,7 +168,6 @@ impl InvariantKind {
             InvariantKind::DeallocResidue,
             InvariantKind::StuckQuiesce,
             InvariantKind::ElasticFairness,
-            InvariantKind::DecodeCacheCoherence,
             InvariantKind::LedgerConsistency,
             InvariantKind::ReplayEquivalence,
             InvariantKind::GrantContinuity,
@@ -224,41 +218,10 @@ impl fmt::Display for Violation {
     }
 }
 
-/// What the checker may assume about data-plane traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficAssumption {
-    /// All program packets come from FIDs the controller admitted
-    /// (true inside the bounded explorer, where the model generates
-    /// every packet). Under this assumption a cached decode for an
-    /// unallocated FID can only mean a missed invalidation — I8.
-    ClosedWorld,
-    /// Arbitrary FIDs may inject program packets — corrupted frames,
-    /// rogue hosts. The decode happens *before* the protection lookup
-    /// that rejects them, so a cached decode for a never-admitted FID
-    /// is legitimate (and harmless: its memory accesses are refused).
-    /// I8 is therefore skipped — a stale entry for a deallocated FID
-    /// is indistinguishable from a rogue one at this layer.
-    OpenWorld,
-}
-
 /// Check every invariant against a controller/runtime pair. Quiescent
 /// invariants are skipped while a reallocation is in flight; the
 /// always-invariants hold in every reachable state.
-///
-/// This is the closed-world entry point (see [`TrafficAssumption`]);
-/// live harnesses with fault injection or rogue hosts should call
-/// [`check_invariants_assuming`] with
-/// [`TrafficAssumption::OpenWorld`].
 pub fn check_invariants(ctl: &Controller, rt: &dyn DataPlane) -> Vec<Violation> {
-    check_invariants_assuming(ctl, rt, TrafficAssumption::ClosedWorld)
-}
-
-/// [`check_invariants`] with an explicit traffic assumption.
-pub fn check_invariants_assuming(
-    ctl: &Controller,
-    rt: &dyn DataPlane,
-    traffic: TrafficAssumption,
-) -> Vec<Violation> {
     let mut out = Vec::new();
     let alloc = ctl.allocator();
     let prot = rt.protection();
@@ -471,22 +434,6 @@ pub fn check_invariants_assuming(
                 });
             }
             cursor = range.end();
-        }
-    }
-
-    // ----- I8 (always, closed world only): decode-cache coherence -----
-    for fid in rt.decoded_fids() {
-        if traffic == TrafficAssumption::ClosedWorld
-            && !alloc.contains(fid)
-            && prot.stages_of(fid).is_empty()
-        {
-            out.push(Violation {
-                kind: InvariantKind::DecodeCacheCoherence,
-                fid: Some(fid),
-                detail: "cached program decode survives with no allocation and no \
-                         protection entries (missed invalidation)"
-                    .into(),
-            });
         }
     }
 

@@ -5,13 +5,14 @@
 //! *isolation* (an application can never read or write another's
 //! memory, enforced by per-stage protection entries derived from its
 //! grant) and *safe reallocation* (the snapshot → move → reactivate
-//! protocol never loses memory, strands an application quiesced, or
-//! leaves a stale fast-path mapping). This crate turns those promises
+//! protocol never loses memory or strands an application quiesced).
+//! This crate turns those promises
 //! into machine-checked invariants:
 //!
 //! - [`invariants`] — a reusable engine, [`check_invariants`], that
-//!   audits any `(Controller, SwitchRuntime)` pair for nine structural
-//!   safety properties (I1–I9). It is shared by the bounded explorer,
+//!   audits any `(Controller, SwitchRuntime)` pair for eight structural
+//!   safety properties (I1–I7 and I9; I8 guarded a decode cache the
+//!   runtime no longer has). It is shared by the bounded explorer,
 //!   the chaos end-to-end test, the observability dump, property
 //!   tests, and a debug-build hook inside the controller's own poll
 //!   loop.
@@ -61,9 +62,6 @@ pub use explore::{
 };
 pub use fabric::{check_fabric_invariants, FabricMemberView, MigrationAudit};
 pub use fabric_world::{FabricAppSpec, FabricEvent, FabricScope, FabricWorld, ModelFabric};
-pub use invariants::{
-    check_invariants, check_invariants_assuming, report_violations, InvariantKind,
-    TrafficAssumption, Violation,
-};
+pub use invariants::{check_invariants, report_violations, InvariantKind, Violation};
 pub use model::{AppSpec, Event, FaultBudget, Msg, Mutation, Scope, World};
 pub use recovery::{check_recovery, RecoveryFingerprint};

@@ -296,7 +296,7 @@ pub enum Event {
     /// (fault, consumes budget).
     Stall,
     /// A resident application sends one program packet through the
-    /// data plane (populates the decode cache).
+    /// data plane.
     Packet(Fid),
     /// The controller process dies and is rebuilt from its op-log,
     /// then reconciles the surviving data plane (fault, consumes
@@ -338,9 +338,6 @@ pub enum Mutation {
     /// Reactivation updates bookkeeping but never re-enables the
     /// victim's tables (stuck quiesce: I4/I6).
     AckLessReactivation,
-    /// The runtime stops invalidating decode-cache entries when
-    /// regions change (stale fast path: I8).
-    StaleDecodeEntry,
     /// The op-log record is written *after* the action escapes (a
     /// write-behind log): a crash loses the last committed transition,
     /// so replay diverges from the state clients observed (I10/I11).
@@ -350,13 +347,12 @@ pub enum Mutation {
 
 impl Mutation {
     /// Every mutation, for exhaustive mutation-testing sweeps.
-    pub fn all() -> [Mutation; 6] {
+    pub fn all() -> [Mutation; 5] {
         [
             Mutation::OverlappingGrant,
             Mutation::DeallocLeaksEntry,
             Mutation::RollbackLeak,
             Mutation::AckLessReactivation,
-            Mutation::StaleDecodeEntry,
             Mutation::LogAfterAction,
         ]
     }
@@ -368,7 +364,6 @@ impl Mutation {
             Mutation::DeallocLeaksEntry => "dealloc-leaks-entry",
             Mutation::RollbackLeak => "rollback-leak",
             Mutation::AckLessReactivation => "ackless-reactivation",
-            Mutation::StaleDecodeEntry => "stale-decode-entry",
             Mutation::LogAfterAction => "log-after-action",
         }
     }
@@ -433,7 +428,7 @@ impl World {
 
     /// Every violation visible in this state: recovery-invariant
     /// violations staged by a crash/recover transition plus the
-    /// structural invariants I1–I9.
+    /// structural invariants I1–I7 and I9.
     pub fn check(&self) -> Vec<Violation> {
         let mut out = self.recovery_violations.clone();
         out.extend(crate::invariants::check_invariants(&self.ctl, &self.rt));
@@ -458,7 +453,6 @@ impl World {
             Mutation::AckLessReactivation => {
                 self.ctl.inject_seeded_bug(SeededBug::AckLessReactivation);
             }
-            Mutation::StaleDecodeEntry => self.rt.seed_skip_decode_invalidation(true),
             Mutation::LogAfterAction => self.ctl.inject_seeded_bug(SeededBug::LogAfterAction),
         }
     }
@@ -686,10 +680,6 @@ impl World {
         }
         bytes.push(b'd');
         for fid in self.rt.deactivated_fids() {
-            push16(&mut bytes, fid);
-        }
-        bytes.push(b'c');
-        for fid in self.rt.decoded_fids() {
             push16(&mut bytes, fid);
         }
         bytes.push(b'm');

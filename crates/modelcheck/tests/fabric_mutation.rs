@@ -69,7 +69,7 @@ fn unmutated_fabric_scope_is_clean_at_full_depth() {
         FaultBudget::default_adversary(),
         None,
     );
-    let outcome = explore(world, cfg(8));
+    let outcome = explore(world, cfg(9));
     if let Some(cx) = &outcome.counterexample {
         panic!(
             "unexpected violation on clean federation:\n{}",

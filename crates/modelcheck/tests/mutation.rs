@@ -118,15 +118,6 @@ fn catches_ackless_reactivation() {
 }
 
 #[test]
-fn catches_stale_decode_entry() {
-    let kinds = kinds_caught(Mutation::StaleDecodeEntry, FaultBudget::none(), 5);
-    assert!(
-        kinds.contains(&InvariantKind::DecodeCacheCoherence),
-        "expected a decode-cache-coherence violation, got {kinds:?}"
-    );
-}
-
-#[test]
 fn catches_log_after_action() {
     // The write-behind-log bug is invisible until a crash consumes it:
     // the last committed transition is missing from the log, so the

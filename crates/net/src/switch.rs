@@ -175,7 +175,7 @@ impl SwitchNode {
 
     /// Run `f` against every data-plane runtime shard in shard order
     /// (a single-threaded plane is shard 0). Invariant audits use this
-    /// to check each shard's protection/decode state.
+    /// to check each shard's protection state.
     pub fn for_each_runtime(&self, mut f: impl FnMut(usize, &SwitchRuntime)) {
         match &self.plane {
             Plane::Single(rt) => f(0, rt),

@@ -39,8 +39,6 @@ pub enum RepairKind {
     ReinstallEntry,
     /// An orphaned protection entry was removed.
     ScrubEntry,
-    /// An orphaned decode-cache resident was flushed.
-    ScrubDecode,
     /// An in-flight victim was re-quiesced in the data plane.
     Requiesce,
     /// A stray quiesced FID (no reallocation to blame) was resumed.

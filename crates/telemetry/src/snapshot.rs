@@ -281,7 +281,6 @@ fn repair_kind_str(r: crate::journal::RepairKind) -> &'static str {
     match r {
         RepairKind::ReinstallEntry => "reinstall_entry",
         RepairKind::ScrubEntry => "scrub_entry",
-        RepairKind::ScrubDecode => "scrub_decode",
         RepairKind::Requiesce => "requiesce",
         RepairKind::ReactivateStray => "reactivate_stray",
         RepairKind::ResendSignal => "resend_signal",

@@ -8,7 +8,7 @@
 
 use activermt::core::alloc::{MutantPolicy, Scheme};
 use activermt::core::SwitchConfig;
-use activermt::modelcheck::{check_invariants_assuming, TrafficAssumption};
+use activermt::modelcheck::check_invariants;
 use activermt::net::apphosts::{CacheClientConfig, CacheClientHost, Phase};
 use activermt::net::host::KvServerHost;
 use activermt::net::{CrashPlan, FaultPlan, NetConfig, Simulation, SwitchNode};
@@ -16,15 +16,10 @@ use activermt_client::shim::ShimState;
 
 /// Audit the switch's full control-plane state with the shared
 /// invariant engine (the same checks the bounded model checker runs
-/// over every reachable state — see crates/modelcheck). Open world:
-/// corrupted frames carry arbitrary FIDs into the decode cache.
+/// over every reachable state — see crates/modelcheck).
 fn assert_invariants(sim: &Simulation, at: &str) {
     let node = sim.switch();
-    let violations = check_invariants_assuming(
-        node.controller(),
-        node.plane(),
-        TrafficAssumption::OpenWorld,
-    );
+    let violations = check_invariants(node.controller(), node.plane());
     assert!(
         violations.is_empty(),
         "control-plane invariants broken {at}:\n{}",

@@ -1,15 +1,14 @@
 //! End-to-end tests of the pooled data plane inside the discrete-event
 //! simulator: a [`SwitchNode`] running the shard-by-FID worker pool
 //! must reproduce the single-threaded node's host-visible behavior
-//! exactly, and must keep every control-plane invariant — including
-//! decode-cache coherence across reallocation (modelcheck I8) — under
+//! exactly, and must keep every control-plane invariant under
 //! the chaos battery (loss bursts, corruption, controller crashes),
 //! audited both through the pool's aggregate [`DataPlane`] view and on
 //! every shard runtime individually.
 
 use activermt::core::alloc::{MutantPolicy, Scheme};
 use activermt::core::SwitchConfig;
-use activermt::modelcheck::{check_invariants_assuming, TrafficAssumption};
+use activermt::modelcheck::check_invariants;
 use activermt::net::apphosts::{CacheClientConfig, CacheClientHost, Phase};
 use activermt::net::host::KvServerHost;
 use activermt::net::{CrashPlan, FaultPlan, NetConfig, Simulation, SwitchNode};
@@ -131,13 +130,8 @@ fn pooled_cache_scenario_converges_under_chaos() {
     let node = sim.switch();
     assert_eq!(node.workers(), WORKERS);
 
-    // Invariants on the aggregate plane (protection mirror, decoded
-    // FIDs as the union over shards — the I8 coherence surface) ...
-    let violations = check_invariants_assuming(
-        node.controller(),
-        node.plane(),
-        TrafficAssumption::OpenWorld,
-    );
+    // Invariants on the aggregate plane (the protection mirror) ...
+    let violations = check_invariants(node.controller(), node.plane());
     assert!(
         violations.is_empty(),
         "aggregate invariants broken after chaos:\n{}",
@@ -147,11 +141,9 @@ fn pooled_cache_scenario_converges_under_chaos() {
             .collect::<String>()
     );
     // ... and on every shard runtime individually: each replica's
-    // protection tables and decode cache must independently agree with
-    // the controller.
+    // protection tables must independently agree with the controller.
     node.for_each_runtime(|k, rt| {
-        let violations =
-            check_invariants_assuming(node.controller(), rt, TrafficAssumption::OpenWorld);
+        let violations = check_invariants(node.controller(), rt);
         assert!(
             violations.is_empty(),
             "shard {k} invariants broken after chaos:\n{}",
